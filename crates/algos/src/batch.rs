@@ -15,8 +15,8 @@
 //!   activated and pushes its whole mask during iteration `it + 1`, so a
 //!   bit's first arrival at a vertex happens exactly at that source's BFS
 //!   level. Recording `it + 1` at first-set time is therefore the true hop
-//!   distance, and the `fetch_or` return value makes exactly one thread
-//!   the recorder per (vertex, lane).
+//!   distance, and [`atomic_or_new_u64`] reports each new bit to exactly
+//!   one thread, the recorder per (vertex, lane).
 //! * **SSSP** runs one label-correcting Bellman–Ford per lane over the
 //!   union frontier. Extra activations from sibling lanes only re-propose
 //!   already-known distances (the atomic min rejects them), so each lane
@@ -25,7 +25,7 @@
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use ascetic_graph::{Csr, VertexId, INF_DIST};
-use ascetic_par::{atomic_min_u32, AtomicBitmap, Bitmap};
+use ascetic_par::{atomic_min_u32, atomic_or_new_u64, AtomicBitmap, Bitmap};
 
 use crate::traits::{AlgoOutput, Capabilities, EdgeSlice, VertexProgram};
 
@@ -124,8 +124,7 @@ impl VertexProgram for MsBfsDistances {
         }
         let d = state.next_dist.load(Ordering::Relaxed);
         for (t, _w) in edges.iter() {
-            let old = state.reached[t as usize].fetch_or(mask, Ordering::Relaxed);
-            let mut new = mask & !old;
+            let mut new = atomic_or_new_u64(&state.reached[t as usize], mask);
             if new == 0 {
                 continue;
             }
@@ -289,6 +288,69 @@ mod tests {
         match out {
             AlgoOutput::MultiDistances(v) => v,
             other => panic!("expected MultiDistances, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn racing_pushes_report_each_lane_bit_once() {
+        // 16 source lanes, every source pushing into every target twice
+        // (parallel edges), raced from 1, 2 and 8 threads: each target
+        // must come out with all lanes at level 1, and a second wave of
+        // the same pushes must report nothing new (no lane bit is ever
+        // reported — nor its level recorded — a second time)
+        let (lanes, targets) = (16u32, 200u32);
+        let mut b = GraphBuilder::new((lanes + targets) as usize);
+        for s in 0..lanes {
+            for t in lanes..lanes + targets {
+                b.add_edge(s, t);
+                b.add_edge(s, t);
+            }
+        }
+        let g = b.build();
+        let prog = MsBfsDistances::new((0..lanes).collect());
+        let push_all = |threads: usize, state: &MsBfsDistancesState, next: &AtomicBitmap| {
+            let start = std::sync::Barrier::new(threads);
+            std::thread::scope(|sc| {
+                for _ in 0..threads {
+                    sc.spawn(|| {
+                        start.wait();
+                        for s in 0..lanes {
+                            let edges = EdgeSlice::new(g.neighbors(s), false);
+                            prog.advance_push(s, edges, state, next);
+                        }
+                    });
+                }
+            });
+        };
+        for threads in [1, 2, 8] {
+            let state = prog.new_state(&g);
+            prog.compute(0, &prog.initial_frontier(&g), &state);
+            let next = AtomicBitmap::new(g.num_vertices());
+            push_all(threads, &state, &next);
+            let expect: Vec<usize> = (lanes..lanes + targets).map(|t| t as usize).collect();
+            assert_eq!(next.snapshot().iter_ones().collect::<Vec<_>>(), expect);
+            for t in lanes..lanes + targets {
+                let t = t as usize;
+                assert_eq!(state.reached[t].load(Ordering::Relaxed), (1 << lanes) - 1);
+                for lane in 0..lanes as usize {
+                    assert_eq!(
+                        state.dist[t * state.lanes + lane].load(Ordering::Relaxed),
+                        1
+                    );
+                }
+            }
+            state.next_dist.store(2, Ordering::Relaxed);
+            let again = AtomicBitmap::new(g.num_vertices());
+            push_all(threads, &state, &again);
+            assert_eq!(
+                again.count_ones(),
+                0,
+                "threads {threads}: bits reported twice"
+            );
+            assert!(
+                state.dist.iter().all(|d| d.load(Ordering::Relaxed) != 2),
+                "threads {threads}: a lane level was recorded twice"
+            );
         }
     }
 

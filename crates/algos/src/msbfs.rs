@@ -13,7 +13,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ascetic_graph::{Csr, VertexId};
-use ascetic_par::{AtomicBitmap, Bitmap};
+use ascetic_par::{atomic_or_new_u64, AtomicBitmap, Bitmap};
 
 use crate::traits::{AlgoOutput, EdgeSlice, VertexProgram};
 
@@ -91,8 +91,7 @@ impl VertexProgram for MsBfs {
             return;
         }
         for (t, _w) in edges.iter() {
-            let old = state.reached[t as usize].fetch_or(mask, Ordering::Relaxed);
-            if old | mask != old {
+            if atomic_or_new_u64(&state.reached[t as usize], mask) != 0 {
                 next.set(t as usize);
             }
         }

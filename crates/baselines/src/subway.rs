@@ -24,7 +24,7 @@ use ascetic_sim::{DeviceConfig, Gpu};
 
 use ascetic_core::codec::compress_wins;
 use ascetic_core::engine::finish_report;
-use ascetic_core::ondemand::{gather, plan_batches};
+use ascetic_core::ondemand::{plan_batches, GatherBatch};
 use ascetic_core::report::{Breakdown, IterReport, RunReport};
 use ascetic_core::system::{
     edge_budget_bytes, reserve_vertex_arrays, OutOfCoreSystem, PrepareError, Prepared,
@@ -141,12 +141,12 @@ impl OutOfCoreSystem for SubwaySystem {
             let mut payload = 0u64;
             let mut phase_end = ident.end;
             for entries in plan_batches(g, &nodes, buffer_words) {
-                let batch = gather(g, entries);
+                let batch = GatherBatch::new(g, entries);
                 let g_span =
                     gpu.gather_at(batch.payload_bytes(), batch.entries.len() as u64, phase_end);
                 breakdown.gather_ns += g_span.duration();
 
-                let dst = buffer.slice(0, batch.words.len());
+                let dst = buffer.slice(0, batch.payload_words());
                 // Subway rebuilds the subgraph every iteration, so the
                 // crossover decides on the actual encoded size: the phases
                 // are strictly sequential, which makes the pure link rule
@@ -161,8 +161,9 @@ impl OutOfCoreSystem for SubwaySystem {
                     let ship = matches!(self.compression, CompressionMode::Always)
                         || compress_wins(&gpu.config.pcie, &gpu.config.decompress, raw, wire);
                     if ship {
-                        let (copy, dec) =
-                            gpu.h2d_compressed_at(dst, &batch.words, &enc_buf, g_span.end);
+                        let (copy, dec) = gpu.h2d_compressed_at(dst, &enc_buf, g_span.end, |w| {
+                            batch.gather_into(g, w)
+                        });
                         gpu.obs.registry.counter_add("compress.transfers", 1);
                         gpu.obs.registry.counter_add("compress.raw_bytes", raw);
                         gpu.obs.registry.counter_add("compress.wire_bytes", wire);
@@ -172,7 +173,7 @@ impl OutOfCoreSystem for SubwaySystem {
                     }
                 }
                 let (t_ns, payload_at) = compressed.unwrap_or_else(|| {
-                    let t_span = gpu.h2d_at(dst, &batch.words, g_span.end);
+                    let t_span = gpu.h2d_fill_at(dst, g_span.end, |w| batch.gather_into(g, w));
                     (t_span.duration(), t_span.end)
                 });
                 gpu.xfer.h2d_bytes += batch.index_bytes();

@@ -4,8 +4,17 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
-use ascetic_core::ondemand::{gather, plan_batches};
+use ascetic_core::ondemand::{plan_batches, GatherBatch};
 use ascetic_graph::generators::{social_graph, SocialConfig};
+use ascetic_graph::Csr;
+
+/// Index one batch and gather it into a window, as the session does into
+/// its device buffer.
+fn gather(g: &Csr, entries: Vec<ascetic_core::ondemand::GatherEntry>, window: &mut Vec<u32>) {
+    let batch = GatherBatch::new(g, entries);
+    window.resize(batch.payload_words(), 0);
+    batch.gather_into(g, window);
+}
 
 fn gather_benches(c: &mut Criterion) {
     let g = social_graph(&SocialConfig::new(65_536, 1_000_000, 3));
@@ -21,10 +30,12 @@ fn gather_benches(c: &mut Criterion) {
     });
 
     let batches = plan_batches(&g, &every_3rd, 1 << 18);
+    let mut window = Vec::new();
     grp.bench_function("gather_all_batches", |b| {
         b.iter(|| {
             for entries in &batches {
-                black_box(gather(&g, entries.clone()));
+                gather(&g, entries.clone(), &mut window);
+                black_box(&window);
             }
         })
     });
@@ -36,7 +47,8 @@ fn gather_benches(c: &mut Criterion) {
     grp.bench_function("gather_sparse_frontier", |b| {
         b.iter(|| {
             for entries in plan_batches(&g, &sparse, 1 << 18) {
-                black_box(gather(&g, entries));
+                gather(&g, entries, &mut window);
+                black_box(&window);
             }
         })
     });

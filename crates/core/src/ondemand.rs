@@ -11,15 +11,19 @@
 //!    split across batches (partial delivery is part of the
 //!    `VertexProgram` contract);
 //! 2. **gather** — multi-threaded copy of the requested edge ranges from
-//!    the host CSR into a staging buffer, in device word format, with a
-//!    per-entry index (`OndemandNodes` + offsets) for the kernel.
+//!    the host CSR, in device word format, *straight into the device
+//!    window* the batch ships to ([`GatherBatch::gather_into`], called
+//!    from the fill closure of `ascetic_sim::Gpu::h2d_fill_at`), with a
+//!    per-entry index (`OndemandNodes` + offsets) for the kernel. Each
+//!    byte moves once: no staging buffer sits between the CSR and the
+//!    arena.
 //!
 //! The engine is pure data-plane; the [`crate::engine`] Manager charges the
-//! gather/transfer costs and moves staging into device memory.
+//! gather/transfer costs.
 
 use ascetic_graph::{Csr, VertexId};
 use ascetic_par::{
-    exclusive_scan_in_place, parallel_exclusive_scan, parallel_parts, parallel_ranges, with_scratch,
+    exclusive_scan_in_place, parallel_exclusive_scan, parallel_parts, parallel_ranges,
 };
 
 /// One gather request: a vertex and the sub-range of its edges to deliver.
@@ -38,24 +42,48 @@ impl GatherEntry {
     }
 }
 
-/// A gathered batch: staging payload plus the per-entry index.
+/// A planned batch: its requests plus the per-entry index into the
+/// payload, which [`GatherBatch::gather_into`] writes into the window the
+/// batch ships to.
 #[derive(Clone, Debug)]
 pub struct GatherBatch {
     /// Requests in this batch.
     pub entries: Vec<GatherEntry>,
-    /// Word offset of each entry's payload within `words`
+    /// Word offset of each entry's payload within the window
     /// (length `entries.len() + 1`).
     pub offsets: Vec<u64>,
-    /// Staged edge payload (device word format).
-    pub words: Vec<u32>,
     /// Total edges in the batch.
     pub edges: u64,
 }
 
 impl GatherBatch {
+    /// Index `entries` (one exclusive scan over their word lengths).
+    pub fn new(g: &Csr, entries: Vec<GatherEntry>) -> GatherBatch {
+        let wpe = g.words_per_edge() as u64;
+        let mut lens: Vec<u64> = entries.iter().map(|e| e.num_edges() * wpe).collect();
+        lens.push(0);
+        // large frontiers get the two-pass parallel scan; small ones stay serial
+        let (offsets, total_words) = if lens.len() > 8_192 {
+            parallel_exclusive_scan(&lens)
+        } else {
+            let total = exclusive_scan_in_place(&mut lens);
+            (lens, total)
+        };
+        GatherBatch {
+            entries,
+            offsets,
+            edges: total_words / wpe,
+        }
+    }
+
+    /// Payload words of the batch — the size of its device window.
+    pub fn payload_words(&self) -> usize {
+        *self.offsets.last().expect("offsets hold a trailing total") as usize
+    }
+
     /// Payload bytes of the batch.
     pub fn payload_bytes(&self) -> u64 {
-        (self.words.len() * 4) as u64
+        self.payload_words() as u64 * 4
     }
 
     /// Bytes of the subgraph index shipped alongside the payload
@@ -64,9 +92,44 @@ impl GatherBatch {
         (self.entries.len() * 8) as u64
     }
 
-    /// The word range of entry `i` within the staged payload.
+    /// The word range of entry `i` within the payload.
     pub fn entry_words(&self, i: usize) -> std::ops::Range<usize> {
         self.offsets[i] as usize..self.offsets[i + 1] as usize
+    }
+
+    /// Gather the payload from the host CSR into `window` (multi-threaded).
+    /// Entry payloads are contiguous, so a static split of the entries
+    /// over workers hands each a disjoint, contiguous slice of `window`
+    /// to fill in place.
+    ///
+    /// # Panics
+    /// Panics if `window` is not exactly [`GatherBatch::payload_words`]
+    /// long.
+    pub fn gather_into(&self, g: &Csr, window: &mut [u32]) {
+        assert_eq!(
+            window.len(),
+            self.payload_words(),
+            "window must fit the payload"
+        );
+        let ranges = parallel_ranges(self.entries.len(), |_, r| r);
+        let mut parts: Vec<(&mut [u32], std::ops::Range<usize>)> = Vec::with_capacity(ranges.len());
+        let mut rest = window;
+        for er in ranges {
+            let words = (self.offsets[er.end] - self.offsets[er.start]) as usize;
+            let (mine, tail) = std::mem::take(&mut rest).split_at_mut(words);
+            rest = tail;
+            parts.push((mine, er));
+        }
+        parallel_parts(parts, |_, (mine, er)| {
+            let base = self.offsets[er.start] as usize;
+            for i in er {
+                let w = self.entry_words(i);
+                g.copy_edge_words(
+                    self.entries[i].edges.clone(),
+                    &mut mine[w.start - base..w.end - base],
+                );
+            }
+        });
     }
 }
 
@@ -107,62 +170,6 @@ pub fn plan_batches(g: &Csr, nodes: &[VertexId], capacity_words: usize) -> Vec<V
         batches.push(cur);
     }
     batches
-}
-
-/// Gather one batch's payload from the host CSR (multi-threaded).
-pub fn gather(g: &Csr, entries: Vec<GatherEntry>) -> GatherBatch {
-    let wpe = g.words_per_edge() as u64;
-    let mut lens: Vec<u64> = entries.iter().map(|e| e.num_edges() * wpe).collect();
-    lens.push(0);
-    // large frontiers get the two-pass parallel scan; small ones stay serial
-    let (offsets, total_words) = if lens.len() > 8_192 {
-        parallel_exclusive_scan(&lens)
-    } else {
-        let total = exclusive_scan_in_place(&mut lens);
-        (lens, total)
-    };
-    let edges = total_words / wpe;
-
-    let mut words = vec![0u32; total_words as usize];
-    // Static split of entries over workers; each worker fills a disjoint,
-    // contiguous window of `words` (entry payloads are contiguous). The
-    // windows are dispatched on the persistent pool, and each worker's
-    // per-entry serialization buffer comes from its thread-local scratch
-    // arena — reused across batches and iterations instead of re-allocated.
-    let ranges = parallel_ranges(entries.len(), |_, r| r);
-    {
-        let mut parts: Vec<(&mut [u32], &[GatherEntry])> = Vec::with_capacity(ranges.len());
-        let mut rest: &mut [u32] = &mut words;
-        let mut consumed = 0usize;
-        for er in &ranges {
-            let start_w = offsets[er.start] as usize;
-            let end_w = offsets[er.end] as usize;
-            debug_assert_eq!(start_w, consumed);
-            let (mine, tail) = std::mem::take(&mut rest).split_at_mut(end_w - start_w);
-            rest = tail;
-            consumed = end_w;
-            parts.push((mine, &entries[er.clone()]));
-        }
-        parallel_parts(parts, |_, (mine, entries)| {
-            with_scratch(|scratch| {
-                let mut buf = scratch.take_u32();
-                let mut w = 0usize;
-                for e in entries {
-                    buf.clear();
-                    g.write_edge_words(e.edges.clone(), &mut buf);
-                    mine[w..w + buf.len()].copy_from_slice(&buf);
-                    w += buf.len();
-                }
-                scratch.put_u32(buf);
-            });
-        });
-    }
-    GatherBatch {
-        entries,
-        offsets,
-        words,
-        edges,
-    }
 }
 
 #[cfg(test)]
@@ -224,12 +231,20 @@ mod tests {
         assert!(batches.is_empty(), "vertex 3 has no edges");
     }
 
+    /// Index `entries` and gather them into a fresh window.
+    fn gather(g: &Csr, entries: Vec<GatherEntry>) -> (GatherBatch, Vec<u32>) {
+        let batch = GatherBatch::new(g, entries);
+        let mut words = vec![u32::MAX; batch.payload_words()];
+        batch.gather_into(g, &mut words);
+        (batch, words)
+    }
+
     #[test]
-    fn gather_stages_correct_words_unweighted() {
+    fn gather_writes_correct_words_unweighted() {
         let g = graph();
-        let batch = gather(&g, plan_batches(&g, &[0, 2], 100).remove(0));
+        let (batch, words) = gather(&g, plan_batches(&g, &[0, 2], 100).remove(0));
         assert_eq!(batch.edges, 5);
-        assert_eq!(batch.words, vec![1, 2, 3, 0, 1]);
+        assert_eq!(words, vec![1, 2, 3, 0, 1]);
         assert_eq!(batch.entry_words(0), 0..3);
         assert_eq!(batch.entry_words(1), 3..5);
         assert_eq!(batch.payload_bytes(), 20);
@@ -237,13 +252,13 @@ mod tests {
     }
 
     #[test]
-    fn gather_stages_correct_words_weighted() {
+    fn gather_writes_correct_words_weighted() {
         let g = weighted_variant(&graph());
-        let batch = gather(&g, plan_batches(&g, &[1], 100).remove(0));
+        let (batch, words) = gather(&g, plan_batches(&g, &[1], 100).remove(0));
         assert_eq!(batch.edges, 1);
-        assert_eq!(batch.words.len(), 2);
-        assert_eq!(batch.words[0], 3); // target
-        assert_eq!(batch.words[1], g.edge_weights(1)[0]); // weight
+        assert_eq!(words.len(), 2);
+        assert_eq!(words[0], 3); // target
+        assert_eq!(words[1], g.edge_weights(1)[0]); // weight
     }
 
     #[test]
@@ -251,11 +266,11 @@ mod tests {
         let g = uniform_graph(500, 4_000, false, 3);
         let nodes: Vec<u32> = (0..500).step_by(3).collect();
         for entries in plan_batches(&g, &nodes, 512) {
-            let batch = gather(&g, entries.clone());
+            let (batch, words) = gather(&g, entries.clone());
             for (i, e) in entries.iter().enumerate() {
                 let mut expect = Vec::new();
                 g.write_edge_words(e.edges.clone(), &mut expect);
-                assert_eq!(&batch.words[batch.entry_words(i)], &expect[..]);
+                assert_eq!(&words[batch.entry_words(i)], &expect[..]);
             }
         }
     }
@@ -265,10 +280,18 @@ mod tests {
         let g = uniform_graph(200, 2_000, false, 7);
         let nodes: Vec<u32> = (0..200).collect();
         for entries in plan_batches(&g, &nodes, 1024) {
-            let batch = gather(&g, entries);
-            assert_eq!(*batch.offsets.last().unwrap() as usize, batch.words.len());
+            let (batch, words) = gather(&g, entries);
+            assert_eq!(*batch.offsets.last().unwrap() as usize, words.len());
             assert!(batch.offsets.windows(2).all(|w| w[0] <= w[1]));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "window must fit")]
+    fn gather_rejects_a_mis_sized_window() {
+        let g = graph();
+        let batch = GatherBatch::new(&g, plan_batches(&g, &[0], 100).remove(0));
+        batch.gather_into(&g, &mut [0; 2]);
     }
 
     #[test]

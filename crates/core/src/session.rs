@@ -19,12 +19,13 @@
 //! [`super::engine::AsceticSystem`] is a thin one-shot wrapper around this
 //! type.
 
+use std::cell::OnceCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ascetic_algos::{ops, EdgeSlice, TraversalDirection, VertexProgram};
 use ascetic_graph::chunks::{ChunkGeometry, ChunkId};
 use ascetic_graph::compress::{encode_ranges, EncodeEntry};
-use ascetic_graph::{Csr, GraphChunks, GraphPatch, VertexId};
+use ascetic_graph::{Csr, GraphPatch, VertexId};
 use ascetic_obs::{Event, MetricsSnapshot, DEFAULT_EVENT_CAPACITY};
 use ascetic_par::{parallel_for, AtomicBitmap, Bitmap};
 use ascetic_sim::{DevPtr, Engine, Gpu, KernelStats, SimTime, XferStats};
@@ -34,7 +35,7 @@ use crate::config::{AsceticConfig, CompressionMode, DirectionMode, FillPolicy, R
 use crate::engine::finish_report;
 use crate::hotness::HotnessTable;
 use crate::maps::DataMaps;
-use crate::ondemand::{gather, plan_batches};
+use crate::ondemand::{plan_batches, GatherBatch};
 use crate::prefetch::{chunk_demand_bytes, plan_prefetch, PrefetchMode, PrefetchOp};
 use crate::ratio::{repartition_check, static_share, Repartition};
 use crate::report::{Breakdown, IterReport, RunReport};
@@ -85,10 +86,11 @@ pub struct AsceticSession<'g> {
     region: StaticRegion,
     od_buffers: Vec<DevPtr>,
     hotness: HotnessTable,
-    // the chunked CSC mirror for pull-direction iterations; built once
-    // per session (only when the config can ever pull) and shared by
-    // every run
-    mirror: Option<GraphChunks>,
+    // the CSC mirror for pull-direction iterations: transposed the first
+    // time a pull decision or pull iteration reads it (see `csc_mirror`),
+    // then shared by every later run of the session, so push-only
+    // programs never pay for the transpose
+    mirror: OnceCell<Csr>,
     prestore_bytes: u64,
     prestore_wire_bytes: u64,
     prestore_ns: u64,
@@ -160,6 +162,13 @@ impl RunCtx {
 /// ship raw — the delta–varint codec covers unweighted adjacency only.
 fn compression_eligible(cfg: &AsceticConfig, g: &Csr) -> bool {
     cfg.compression != CompressionMode::Off && !g.is_weighted()
+}
+
+/// The session's CSC mirror of `g`, transposed on first use. A free
+/// function over the cell (not a method) so the pull pipeline can hold
+/// the mirror while it drives the device.
+fn csc_mirror<'m>(mirror: &'m OnceCell<Csr>, g: &Csr) -> &'m Csr {
+    mirror.get_or_init(|| g.transpose())
 }
 
 /// Chain-aware adaptive decision for an on-demand payload: compare when
@@ -334,15 +343,6 @@ impl<'g> AsceticSession<'g> {
             }
         }
 
-        // The CSC mirror is host-side state (the on-demand pipeline ships
-        // its rows exactly like CSR rows), built eagerly so every run —
-        // and every fleet shard — amortizes one transpose.
-        let mirror = if cfg.direction != DirectionMode::Push {
-            Some(GraphChunks::build(g, cfg.chunk_bytes))
-        } else {
-            None
-        };
-
         AsceticSession {
             cfg,
             g,
@@ -351,7 +351,7 @@ impl<'g> AsceticSession<'g> {
             region,
             od_buffers,
             hotness,
-            mirror,
+            mirror: OnceCell::new(),
             prestore_bytes,
             prestore_wire_bytes,
             prestore_ns,
@@ -552,11 +552,7 @@ impl<'g> AsceticSession<'g> {
             }
         }
         let push_est = push_edges * bpe + push_nodes * 8;
-        let csc = &self
-            .mirror
-            .as_ref()
-            .expect("adaptive direction without a CSC mirror")
-            .csc;
+        let csc = csc_mirror(&self.mirror, g);
         let targets = ops::pull_frontier(prog, g, frontier, state);
         let mut pull_edges = 0u64;
         let mut pull_nodes = 0u64;
@@ -643,9 +639,12 @@ impl<'g> AsceticSession<'g> {
     /// the on-demand pipeline, replacement-server window and the
     /// cross-iteration prefetch commit/plan. The driver owns the frontier
     /// dance: it runs the compute operator first, passes the (already
-    /// ownership-masked, in the fleet case) `active` bitmap, and snapshots
-    /// `next` after the step (after *all* shards' steps, in the fleet
-    /// case) to build the next round's frontier.
+    /// ownership-masked, in the fleet case) `active` bitmap, and builds
+    /// the next round's frontier from `next` after the step (after *all*
+    /// shards' steps, in the fleet case). When the step itself needed a
+    /// snapshot of `next` — for the prefetch plan or the direction
+    /// pre-commit — it returns it, so `AsceticSession::run_with_state`
+    /// need not take a second one.
     pub(crate) fn step_iteration<P: VertexProgram>(
         &mut self,
         prog: &P,
@@ -653,7 +652,7 @@ impl<'g> AsceticSession<'g> {
         active: &Bitmap,
         state: &P::State,
         next: &AtomicBitmap,
-    ) {
+    ) -> Option<Bitmap> {
         let g = self.g;
         let cfg = self.cfg;
         let n = g.num_vertices();
@@ -678,7 +677,7 @@ impl<'g> AsceticSession<'g> {
             };
             ctx.last_dir = dir;
             if dir == TraversalDirection::Pull {
-                return self.step_pull_iteration(prog, ctx, active, state, next);
+                return Some(self.step_pull_iteration(prog, ctx, active, state, next));
             }
         }
 
@@ -846,10 +845,11 @@ impl<'g> AsceticSession<'g> {
                     ctx.prefetch_inflight.push((op, bytes));
                 }
 
-                let batch = gather(g, entries);
+                let batch = GatherBatch::new(g, entries);
 
-                // H2D transfer of payload + index, into this batch's buffer
-                let dst = buffer.slice(0, batch.words.len());
+                // H2D transfer of payload + index, into this batch's
+                // buffer; the gather writes straight into the window
+                let dst = buffer.slice(0, batch.payload_words());
                 let ready = g_span.end.max(ctx.buffer_free_at[buf_idx]);
                 let raw_bytes = batch.payload_bytes();
                 // Compression crossover: estimate from the per-chunk
@@ -879,8 +879,9 @@ impl<'g> AsceticSession<'g> {
                             || chain_wins(&self.gpu, ready, raw_bytes, wire);
                         if ship {
                             let (copy, dec) =
-                                self.gpu
-                                    .h2d_compressed_at(dst, &batch.words, &ctx.enc_buf, ready);
+                                self.gpu.h2d_compressed_at(dst, &ctx.enc_buf, ready, |w| {
+                                    batch.gather_into(g, w)
+                                });
                             let reg = &mut self.gpu.obs.registry;
                             reg.counter_add("compress.transfers", 1);
                             reg.counter_add("compress.raw_bytes", raw_bytes);
@@ -894,7 +895,9 @@ impl<'g> AsceticSession<'g> {
                     }
                 }
                 let (t_ns, payload_at) = compressed.unwrap_or_else(|| {
-                    let t_span = self.gpu.h2d_at(dst, &batch.words, ready);
+                    let t_span = self
+                        .gpu
+                        .h2d_fill_at(dst, ready, |w| batch.gather_into(g, w));
                     (t_span.duration(), t_span.end)
                 });
                 // account the subgraph index bytes on the same DMA op
@@ -1032,13 +1035,15 @@ impl<'g> AsceticSession<'g> {
         // to the link slack left before this iteration's barrier — the
         // transfers hide entirely under work already on the clock, so
         // the iteration's makespan is untouched whether they pay off
-        // or not.
-        let next_frontier = next.snapshot();
+        // or not. The frontier snapshot is taken only when this plan or
+        // the direction pre-commit below reads it.
+        let pre_commit = cfg.direction != DirectionMode::Push && prog.capabilities().pull;
+        let next_frontier = (prefetch_on || pre_commit).then(|| next.snapshot());
         ctx.prefetch_ready = SimTime::ZERO;
         // whatever of last iteration's plan never found a gap dies
         // here, un-issued and free of charge
         ctx.prefetch_deferred.clear();
-        if prefetch_on {
+        if let Some(next_frontier) = next_frontier.as_ref().filter(|_| prefetch_on) {
             let more = iter + 1 < prog.max_iterations() && !next_frontier.is_all_zero();
             // Commit the gap-issued transfers now that every kernel of
             // this iteration is done reading the region. The plan was
@@ -1047,7 +1052,7 @@ impl<'g> AsceticSession<'g> {
             // stale op is dropped — its link time was idle slack, its
             // bytes become waste — rather than applied.
             if more {
-                let demand = chunk_demand_bytes(g, &geo, &next_frontier);
+                let demand = chunk_demand_bytes(g, &geo, next_frontier);
                 for (op, bytes) in ctx.prefetch_inflight.drain(..) {
                     let apply = match op {
                         PrefetchOp::Load(c) => {
@@ -1104,7 +1109,7 @@ impl<'g> AsceticSession<'g> {
                     &geo,
                     &self.region,
                     &mut self.hotness,
-                    &next_frontier,
+                    next_frontier,
                     iter,
                     compressible,
                     budget + GAP_PLAN_OPS,
@@ -1138,12 +1143,11 @@ impl<'g> AsceticSession<'g> {
         // Pre-commit the next iteration's direction *after* the prefetch
         // commits above, so the push-vs-pull transfer estimate sees the
         // exact static-region residency the next data maps will see.
-        if cfg.direction != DirectionMode::Push
-            && prog.capabilities().pull
-            && !next_frontier.is_all_zero()
+        if let Some(f) = next_frontier
+            .as_ref()
+            .filter(|f| pre_commit && !f.is_all_zero())
         {
-            ctx.next_pull =
-                Some(self.direction_for(prog, &next_frontier, state, TraversalDirection::Push));
+            ctx.next_pull = Some(self.direction_for(prog, f, state, TraversalDirection::Push));
         }
 
         if let Some((start, end)) = pf_window.take() {
@@ -1170,6 +1174,7 @@ impl<'g> AsceticSession<'g> {
             pull: false,
         });
         ctx.iter += 1;
+        next_frontier
     }
 
     /// One pull-direction iteration: ship every live target's in-edge row
@@ -1178,7 +1183,8 @@ impl<'g> AsceticSession<'g> {
     /// out-edges, so pull bypasses it entirely — no static compute, no
     /// hotness updates, no replacement, and any in-flight prefetch plan is
     /// written off as waste rather than committed against a region nothing
-    /// will read this iteration.
+    /// will read this iteration. Returns the snapshot of `next` it takes
+    /// for the direction pre-commit.
     fn step_pull_iteration<P: VertexProgram>(
         &mut self,
         prog: &P,
@@ -1186,7 +1192,7 @@ impl<'g> AsceticSession<'g> {
         active: &Bitmap,
         state: &P::State,
         next: &AtomicBitmap,
-    ) {
+    ) -> Bitmap {
         let g = self.g;
         let cfg = self.cfg;
         let n = g.num_vertices();
@@ -1231,11 +1237,7 @@ impl<'g> AsceticSession<'g> {
         ctx.prefetch_deferred.clear();
         ctx.prefetch_ready = SimTime::ZERO;
 
-        let mirror = self
-            .mirror
-            .as_ref()
-            .expect("pull iteration without a CSC mirror");
-        let csc = &mirror.csc;
+        let csc = csc_mirror(&self.mirror, g);
         let target_nodes: Vec<VertexId> = targets
             .iter_ones()
             .map(|v| v as VertexId)
@@ -1273,8 +1275,8 @@ impl<'g> AsceticSession<'g> {
             for (bi, (entries, g_span)) in batches.into_iter().zip(gather_spans).enumerate() {
                 let buf_idx = bi % self.od_buffers.len();
                 let buffer = self.od_buffers[buf_idx];
-                let batch = gather(csc, entries);
-                let dst = buffer.slice(0, batch.words.len());
+                let batch = GatherBatch::new(csc, entries);
+                let dst = buffer.slice(0, batch.payload_words());
                 let ready = g_span.end.max(ctx.buffer_free_at[buf_idx]);
                 let raw_bytes = batch.payload_bytes();
                 // Compression crossover. The hotness wire cache is keyed
@@ -1291,8 +1293,9 @@ impl<'g> AsceticSession<'g> {
                         || chain_wins(&self.gpu, ready, raw_bytes, wire);
                     if ship {
                         let (copy, dec) =
-                            self.gpu
-                                .h2d_compressed_at(dst, &batch.words, &ctx.enc_buf, ready);
+                            self.gpu.h2d_compressed_at(dst, &ctx.enc_buf, ready, |w| {
+                                batch.gather_into(csc, w)
+                            });
                         let reg = &mut self.gpu.obs.registry;
                         reg.counter_add("compress.transfers", 1);
                         reg.counter_add("compress.raw_bytes", raw_bytes);
@@ -1304,7 +1307,9 @@ impl<'g> AsceticSession<'g> {
                     }
                 }
                 let (t_ns, payload_at) = compressed.unwrap_or_else(|| {
-                    let t_span = self.gpu.h2d_at(dst, &batch.words, ready);
+                    let t_span = self
+                        .gpu
+                        .h2d_fill_at(dst, ready, |w| batch.gather_into(csc, w));
                     (t_span.duration(), t_span.end)
                 });
                 self.gpu.xfer.h2d_bytes += batch.index_bytes();
@@ -1391,6 +1396,7 @@ impl<'g> AsceticSession<'g> {
             pull: true,
         });
         ctx.iter += 1;
+        next_frontier
     }
 
     /// Close out a run started by `AsceticSession::begin_run`: assemble
@@ -1520,8 +1526,8 @@ impl<'g> AsceticSession<'g> {
             }
             ops::compute(prog, ctx.iter, &active, state);
             let next = AtomicBitmap::new(self.g.num_vertices());
-            self.step_iteration(prog, &mut ctx, &active, state, &next);
-            active = ops::filter(prog, next.snapshot(), state);
+            let taken = self.step_iteration(prog, &mut ctx, &active, state, &next);
+            active = ops::filter(prog, taken.unwrap_or_else(|| next.snapshot()), state);
         }
         self.finish_run(prog, state, ctx)
     }
@@ -1542,7 +1548,8 @@ impl<'g> AsceticSession<'g> {
     /// * the hotness table keeps its access history (chunk boundaries are
     ///   stable under patching) but drops cached encoded sizes for dirty
     ///   chunks; the CSC mirror, when built, is swapped for the patched
-    ///   transpose (`csc_new`, or re-transposed here when absent).
+    ///   transpose (`csc_new`, or re-transposed here when absent). An
+    ///   unbuilt mirror stays unbuilt: its first reader transposes `g_new`.
     pub fn apply_patch(
         &mut self,
         g_new: &'g Csr,
@@ -1569,15 +1576,8 @@ impl<'g> AsceticSession<'g> {
             .patch(&mut self.gpu, g_new, new_geo, first_dirty_chunk);
         self.hotness.resize(new_geo.num_chunks());
         self.hotness.invalidate_wire_from(first_dirty_chunk);
-        if self.mirror.is_some() {
-            self.mirror = Some(match csc_new {
-                Some(csc) => GraphChunks {
-                    csr_geo: new_geo,
-                    csc_geo: ChunkGeometry::with_chunk_bytes(csc, self.cfg.chunk_bytes),
-                    csc: csc.clone(),
-                },
-                None => GraphChunks::build(g_new, self.cfg.chunk_bytes),
-            });
+        if let Some(mirror) = self.mirror.get_mut() {
+            *mirror = csc_new.cloned().unwrap_or_else(|| g_new.transpose());
         }
         self.g = g_new;
         self.geo = new_geo;
@@ -1629,8 +1629,16 @@ impl<'g> AsceticSession<'g> {
     /// The patched transpose the session's pull path would read — what
     /// [`ascetic_algos::VertexProgram::repair`] wants for its in-boundary
     /// walk (`None` on push-only sessions: repair falls back to a CSR scan).
+    /// Builds the mirror if no pull decision has read it yet.
     pub(crate) fn mirror_csc(&self) -> Option<&Csr> {
-        self.mirror.as_ref().map(|m| &m.csc)
+        (self.cfg.direction != DirectionMode::Push).then(|| csc_mirror(&self.mirror, self.g))
+    }
+
+    /// Whether the CSC mirror has been built (test probe for its
+    /// laziness).
+    #[cfg(test)]
+    pub(crate) fn mirror_built(&self) -> bool {
+        self.mirror.get().is_some()
     }
 
     /// Bump a metrics counter (repair-engine hook; the registry itself is
@@ -2066,6 +2074,98 @@ mod tests {
                 "{mode:?} pull output"
             );
         }
+    }
+
+    #[test]
+    fn push_only_programs_never_build_the_mirror() {
+        use ascetic_graph::datasets::weighted_variant;
+        let g = weighted_variant(&uniform_graph(1_500, 12_000, false, 40));
+        for prefetch in [PrefetchMode::Off, PrefetchMode::NextFrontier] {
+            let cfg = cfg_for(&g)
+                .with_direction(DirectionMode::Adaptive)
+                .with_prefetch(prefetch);
+            let mut s = AsceticSession::new(cfg, &g);
+            let r = s.run(&Sssp::new(0));
+            assert_eq!(r.output, run_in_memory(&g, &Sssp::new(0)).output);
+            assert!(!s.mirror_built(), "{prefetch:?}: SSSP transposed the graph");
+        }
+    }
+
+    #[test]
+    fn pull_capable_programs_build_the_mirror_once_per_session() {
+        let g = clique_tail_graph();
+        let cfg = cfg_for(&g).with_direction(DirectionMode::Adaptive);
+        let mut s = AsceticSession::new(cfg, &g);
+        assert!(!s.mirror_built(), "set-up must not transpose");
+        let bfs = s.run(&Bfs::new(0));
+        assert!(bfs.per_iter.iter().any(|i| i.pull));
+        assert!(s.mirror_built());
+        let built = s.mirror_csc().unwrap().targets().as_ptr();
+        let cc = s.run(&Cc::new());
+        assert_eq!(cc.output, run_in_memory(&g, &Cc::new()).output);
+        assert_eq!(
+            s.mirror_csc().unwrap().targets().as_ptr(),
+            built,
+            "a later run must reuse the session's mirror"
+        );
+    }
+
+    #[test]
+    fn mirror_csc_builds_on_demand_unless_the_session_is_push_only() {
+        let g = uniform_graph(800, 6_000, false, 41);
+        for dir in [DirectionMode::Adaptive, DirectionMode::Pull] {
+            let s = AsceticSession::new(cfg_for(&g).with_direction(dir), &g);
+            assert!(!s.mirror_built());
+            assert_eq!(s.mirror_csc(), Some(&g.transpose()), "{dir:?}");
+            assert!(s.mirror_built());
+        }
+        let push = AsceticSession::new(cfg_for(&g), &g);
+        assert_eq!(push.mirror_csc(), None);
+        assert!(!push.mirror_built());
+    }
+
+    #[test]
+    fn patch_before_the_mirror_exists_pulls_the_patched_graph() {
+        use ascetic_graph::{Mutation, PatchableCsr};
+        let g = uniform_graph(1_200, 9_000, false, 42);
+        let mut store = PatchableCsr::with_defaults(&g, true);
+        let g0 = store.to_csr();
+        let batch: Vec<Mutation> = (0..40u32)
+            .map(|i| Mutation::Insert {
+                src: (i * 37) % 1_200,
+                dst: (i * 91 + 5) % 1_200,
+                weight: None,
+            })
+            .chain((0..20u32).map(|i| {
+                let src = (0..1_200u32)
+                    .map(|k| (i * 53 + k) % 1_200)
+                    .find(|&v| g0.degree(v) > 0)
+                    .unwrap();
+                Mutation::Delete {
+                    src,
+                    dst: g0.neighbors(src)[0],
+                }
+            }))
+            .collect();
+        let patch = store.apply(&batch).expect("valid batch");
+        let g1 = store.to_csr();
+        let csc1 = store.to_csc();
+        let cfg = cfg_for(&g0).with_direction(DirectionMode::Pull);
+        let mut s = AsceticSession::new(cfg, &g0);
+        s.apply_patch(&g1, csc1.as_ref(), &patch);
+        assert!(!s.mirror_built(), "an unbuilt mirror stays unbuilt");
+        for (r, want) in [
+            (s.run(&Bfs::new(0)), run_in_memory(&g1, &Bfs::new(0))),
+            (s.run(&Cc::new()), run_in_memory(&g1, &Cc::new())),
+            (
+                s.run(&PageRank::new()),
+                run_in_memory(&g1, &PageRank::new()),
+            ),
+        ] {
+            assert!(r.per_iter.iter().all(|i| i.pull));
+            assert_eq!(r.output, want.output, "{}", r.algorithm);
+        }
+        assert_eq!(s.mirror_csc(), csc1.as_ref());
     }
 
     #[test]

@@ -96,33 +96,6 @@ impl ChunkGeometry {
     }
 }
 
-/// A graph's chunked CSC mirror, carried beside the CSR for
-/// direction-optimizing traversal: pull-mode iterations ship *in*-edge
-/// rows, so the mirror needs its own edge array ([`Csr::transpose`]) and
-/// its own [`ChunkGeometry`] over the same chunk size. Built once per
-/// session and reused across runs.
-#[derive(Clone, Debug)]
-pub struct GraphChunks {
-    /// The transposed graph: row `v` holds the sources of `v`'s in-edges.
-    pub csc: Csr,
-    /// Chunk geometry of the original CSR edge array.
-    pub csr_geo: ChunkGeometry,
-    /// Chunk geometry of the CSC mirror's edge array.
-    pub csc_geo: ChunkGeometry,
-}
-
-impl GraphChunks {
-    /// Transpose `g` and chunk both orientations at `chunk_bytes`.
-    pub fn build(g: &Csr, chunk_bytes: usize) -> GraphChunks {
-        let csc = g.transpose();
-        GraphChunks {
-            csr_geo: ChunkGeometry::with_chunk_bytes(g, chunk_bytes),
-            csc_geo: ChunkGeometry::with_chunk_bytes(&csc, chunk_bytes),
-            csc,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,19 +158,6 @@ mod tests {
         let geo = ChunkGeometry::with_chunk_bytes(&g, 8); // 2 edges
         assert_eq!(geo.num_chunks(), 5); // 9 edges -> ceil(9/2)
         assert_eq!(geo.edge_range(4), 8..9);
-    }
-
-    #[test]
-    fn graph_chunks_mirror_shares_chunk_size() {
-        let g = line_graph(10_000);
-        let gc = GraphChunks::build(&g, 64);
-        assert_eq!(gc.csc.num_edges(), g.num_edges());
-        assert_eq!(gc.csr_geo.chunk_bytes, 64);
-        assert_eq!(gc.csc_geo.chunk_bytes, 64);
-        assert_eq!(gc.csr_geo.num_edges, gc.csc_geo.num_edges);
-        // the line graph's transpose: vertex v+1 has one in-edge from v
-        assert_eq!(gc.csc.neighbors(1), &[0]);
-        assert!(gc.csc.neighbors(0).is_empty());
     }
 
     #[test]

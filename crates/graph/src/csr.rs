@@ -213,14 +213,33 @@ impl Csr {
     /// word unweighted, 2 words weighted — the 4/8-byte footprint of the
     /// paper.
     pub fn write_edge_words(&self, r: std::ops::Range<u64>, out: &mut Vec<u32>) {
+        let start = out.len();
+        out.resize(
+            start + (r.end - r.start) as usize * self.words_per_edge(),
+            0,
+        );
+        self.copy_edge_words(r, &mut out[start..]);
+    }
+
+    /// [`Csr::write_edge_words`] into a caller-owned window: fills `out`,
+    /// which must hold exactly the range's words, in place — how the
+    /// on-demand gather writes straight into a device buffer.
+    ///
+    /// # Panics
+    /// Panics if `out.len()` is not the range's word count.
+    pub fn copy_edge_words(&self, r: std::ops::Range<u64>, out: &mut [u32]) {
         let (s, e) = (r.start as usize, r.end as usize);
         match &self.weights {
-            None => out.extend_from_slice(&self.targets[s..e]),
+            None => out.copy_from_slice(&self.targets[s..e]),
             Some(w) => {
-                out.reserve((e - s) * 2);
-                for (&t, &wt) in self.targets[s..e].iter().zip(&w[s..e]) {
-                    out.push(t);
-                    out.push(wt);
+                assert_eq!(out.len(), (e - s) * 2, "window must match the range");
+                for ((pair, &t), &wt) in out
+                    .chunks_exact_mut(2)
+                    .zip(&self.targets[s..e])
+                    .zip(&w[s..e])
+                {
+                    pair[0] = t;
+                    pair[1] = wt;
                 }
             }
         }
@@ -414,6 +433,13 @@ mod tests {
         g.write_edge_words(0..2, &mut buf);
         assert_eq!(buf, vec![1, 50, 2, 51]);
         assert_eq!(g.words_per_edge(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "window must match")]
+    fn copy_edge_words_rejects_a_short_window() {
+        let g = tiny().with_weights_from(|_, e| e as Weight);
+        g.copy_edge_words(0..2, &mut [0; 3]);
     }
 
     #[test]

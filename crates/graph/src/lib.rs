@@ -38,7 +38,7 @@ pub mod transform;
 pub mod types;
 
 pub use builder::GraphBuilder;
-pub use chunks::{ChunkGeometry, GraphChunks};
+pub use chunks::ChunkGeometry;
 pub use csr::Csr;
 pub use datasets::{Dataset, DatasetId};
 pub use patch::{GraphPatch, Mutation, PatchError, PatchableCsr};

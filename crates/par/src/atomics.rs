@@ -9,22 +9,58 @@
 //! All loops use `Relaxed` ordering: vertex values are only read between
 //! kernel phases (after the thread join, which synchronizes), never used to
 //! publish other memory.
+//!
+//! # Test before the read-modify-write
+//!
+//! [`atomic_min_u32`], [`atomic_max_u32`] and [`atomic_or_new_u64`] first
+//! load the cell and skip the locked RMW when it cannot change the value
+//! (Gunrock's "skip non-improving updates" before the atomic). This is
+//! exact — same stored value, same return value as the bare RMW — for
+//! cells that move **one way only** while a parallel phase runs: a
+//! Relaxed load still reads some value from the cell's modification
+//! order, every later value is at least as far along (coherence), so if
+//! the loaded value already dominates `val` the RMW would have been a
+//! no-op reporting "no change". Callers must not mix these helpers with
+//! plain stores that move the cell the other way inside one phase; resets
+//! belong between phases, after the join.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// Atomically `dst = min(dst, val)`. Returns `true` when `val` lowered the
 /// stored value (the caller then activates the destination vertex).
+/// Skips the RMW when the cell already holds `val` or less; exact for
+/// cells that only decrease during the phase (see the module docs).
 #[inline]
 pub fn atomic_min_u32(dst: &AtomicU32, val: u32) -> bool {
+    if dst.load(Ordering::Relaxed) <= val {
+        return false;
+    }
     let prev = dst.fetch_min(val, Ordering::Relaxed);
     val < prev
 }
 
 /// Atomically `dst = max(dst, val)`. Returns `true` when `val` raised it.
+/// Skips the RMW when the cell already holds `val` or more; exact for
+/// cells that only increase during the phase.
 #[inline]
 pub fn atomic_max_u32(dst: &AtomicU32, val: u32) -> bool {
+    if dst.load(Ordering::Relaxed) >= val {
+        return false;
+    }
     let prev = dst.fetch_max(val, Ordering::Relaxed);
     val > prev
+}
+
+/// Atomically `dst |= mask`. Returns the bits of `mask` this call set
+/// (clear before it), so across racing callers each bit is reported by
+/// exactly one of them. Skips the RMW when every bit of `mask` is already
+/// set; exact for cells whose bits are only ever set during the phase.
+#[inline]
+pub fn atomic_or_new_u64(dst: &AtomicU64, mask: u64) -> u64 {
+    if dst.load(Ordering::Relaxed) & mask == mask {
+        return 0;
+    }
+    mask & !dst.fetch_or(mask, Ordering::Relaxed)
 }
 
 /// Atomically add `val` to an `f32` stored as the bits of an [`AtomicU32`].
@@ -78,7 +114,7 @@ pub fn store_f64(dst: &AtomicU64, val: f64) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::pool::parallel_for;
 
@@ -96,6 +132,7 @@ mod tests {
         let a = AtomicU32::new(10);
         assert!(atomic_max_u32(&a, 20));
         assert!(!atomic_max_u32(&a, 15));
+        assert!(!atomic_max_u32(&a, 20));
         assert_eq!(a.load(Ordering::Relaxed), 20);
     }
 
@@ -111,6 +148,74 @@ mod tests {
             .min()
             .unwrap();
         assert_eq!(a.load(Ordering::Relaxed), expect);
+        // the skip path: equal and larger values never report a change
+        // and never move the cell, however many threads race
+        let improved = AtomicU64::new(0);
+        parallel_for(100_000, |i| {
+            let val = expect + (i % 3) as u32;
+            if atomic_min_u32(&a, val) {
+                improved.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        assert_eq!(improved.load(Ordering::Relaxed), 0);
+        assert_eq!(a.load(Ordering::Relaxed), expect);
+        assert!(!atomic_min_u32(&a, expect));
+        assert!(!atomic_min_u32(&a, u32::MAX));
+    }
+
+    /// Run `f(i)` for every `i in 0..n` on exactly `threads` OS threads
+    /// (interleaved indices) released together by a barrier, so the
+    /// racing-setter tests contend at each width regardless of the pool's
+    /// configuration.
+    pub(crate) fn race(threads: usize, n: usize, f: impl Fn(usize) + Sync) {
+        let start = std::sync::Barrier::new(threads);
+        std::thread::scope(|s| {
+            for t in 0..threads {
+                let (f, start) = (&f, &start);
+                s.spawn(move || {
+                    start.wait();
+                    (t..n).step_by(threads).for_each(f)
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn concurrent_min_reports_each_improvement_once() {
+        // racing equal proposals: exactly one caller per cell sees `true`,
+        // whether the loser is turned away by the load or by the RMW
+        for threads in [1, 2, 8] {
+            let cells: Vec<AtomicU32> = (0..64).map(|_| AtomicU32::new(u32::MAX)).collect();
+            let wins = AtomicU64::new(0);
+            race(threads, 64 * 100, |i| {
+                if atomic_min_u32(&cells[i % 64], 7) {
+                    wins.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+            assert_eq!(wins.load(Ordering::Relaxed), 64, "threads {threads}");
+            assert!(cells.iter().all(|c| c.load(Ordering::Relaxed) == 7));
+        }
+    }
+
+    #[test]
+    fn or_new_reports_each_bit_once() {
+        for threads in [1, 2, 8] {
+            let a = AtomicU64::new(1 << 63);
+            let reported = AtomicU64::new(0);
+            let count = AtomicU64::new(0);
+            race(threads, 10_000, |i| {
+                let mask = (1u64 << (i % 64)) | (1 << ((i * 7) % 64));
+                let new = atomic_or_new_u64(&a, mask);
+                assert_eq!(new & !mask, 0, "reported bits outside the mask");
+                let dup = reported.fetch_or(new, Ordering::Relaxed) & new;
+                assert_eq!(dup, 0, "a bit was reported twice");
+                count.fetch_add(u64::from(new.count_ones()), Ordering::Relaxed);
+            });
+            assert_eq!(a.load(Ordering::Relaxed), u64::MAX);
+            // bit 63 was set up front, so nobody may report it
+            assert_eq!(reported.load(Ordering::Relaxed), u64::MAX >> 1);
+            assert_eq!(count.load(Ordering::Relaxed), 63, "threads {threads}");
+        }
     }
 
     #[test]

@@ -281,13 +281,18 @@ impl AtomicBitmap {
 
     /// Atomically set bit `i`. Returns `true` when this call flipped it
     /// (i.e. the bit was previously clear) — used to count newly activated
-    /// vertices exactly once.
+    /// vertices exactly once. A bit that is already set skips the locked
+    /// RMW; exact because bits are only ever set while a phase runs
+    /// (clearing happens between phases — see [`crate::atomics`]).
     #[inline]
     pub fn set(&self, i: usize) -> bool {
         debug_assert!(i < self.len);
+        let word = &self.words[i / WORD_BITS];
         let mask = 1u64 << (i % WORD_BITS);
-        let prev = self.words[i / WORD_BITS].fetch_or(mask, Ordering::Relaxed);
-        prev & mask == 0
+        if word.load(Ordering::Relaxed) & mask != 0 {
+            return false;
+        }
+        word.fetch_or(mask, Ordering::Relaxed) & mask == 0
     }
 
     /// Test bit `i` (Relaxed).
@@ -454,6 +459,25 @@ mod tests {
         assert_eq!(a.count_ones(), n);
         let snap = a.snapshot();
         assert_eq!(snap.count_ones(), n);
+    }
+
+    #[test]
+    fn racing_sets_report_each_bit_once() {
+        // every bit is proposed by several threads; the `true` results
+        // must equal the popcount exactly at every width
+        for threads in [1, 2, 8] {
+            let n = 5_000;
+            let a = AtomicBitmap::new(n);
+            a.set(17); // pre-set bits are never reported
+            let wins = std::sync::atomic::AtomicUsize::new(0);
+            crate::atomics::tests::race(threads, 4 * n, |i| {
+                if a.set((i * 7) % n) {
+                    wins.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+            assert_eq!(a.count_ones(), n);
+            assert_eq!(wins.load(Ordering::Relaxed), n - 1, "threads {threads}");
+        }
     }
 
     #[test]

@@ -23,8 +23,9 @@
 //!   `ActiveBitmap` / `StaticBitmap` / `StaticMap` / `OndemandMap` dataflow
 //!   (Figure 4 of the paper): concurrent set/test plus bulk word-level
 //!   AND / XOR / AND-NOT combinators.
-//! * [`atomics`] — CAS-loop atomic min / max / float-add reductions used by
-//!   the push-based vertex programs (SSSP relaxations, PageRank scatter).
+//! * [`atomics`] — atomic min / max / bit-or / float-add reductions used by
+//!   the push-based vertex programs (SSSP relaxations, MS-BFS lanes,
+//!   PageRank scatter); the monotone ones test before the RMW.
 //! * [`scan`] — exclusive prefix sums (serial and parallel) used to build
 //!   compact on-demand subgraphs (`OndemandNodes` → edge offsets).
 //!
@@ -42,8 +43,8 @@ pub mod scratch;
 pub mod workers;
 
 pub use atomics::{
-    atomic_add_f32, atomic_add_f64, atomic_max_u32, atomic_min_u32, atomic_swap_f64, load_f64,
-    store_f64,
+    atomic_add_f32, atomic_add_f64, atomic_max_u32, atomic_min_u32, atomic_or_new_u64,
+    atomic_swap_f64, load_f64, store_f64,
 };
 pub use bitmap::{AtomicBitmap, Bitmap};
 pub use pool::{

@@ -138,11 +138,19 @@ impl Gpu {
         self.mem.free(ptr);
     }
 
-    /// H2D copy of `src` into `dst`, ready at `ready`. Copies the payload
-    /// and charges `pcie.transfer_ns` on the COPY engine.
-    pub fn h2d_at(&mut self, dst: DevPtr, src: &[u32], ready: SimTime) -> Span {
-        self.mem.write(dst, src);
-        let bytes = (src.len() * 4) as u64;
+    /// H2D transfer into `dst`, ready at `ready`: `fill` writes the
+    /// payload straight into the device window (all of `dst`), and the
+    /// copy is charged `pcie.transfer_ns` on the COPY engine. This is the
+    /// one place raw H2D traffic is accounted; a producer that can write
+    /// its words in place (the on-demand gather) moves each byte once.
+    pub fn h2d_fill_at(
+        &mut self,
+        dst: DevPtr,
+        ready: SimTime,
+        fill: impl FnOnce(&mut [u32]),
+    ) -> Span {
+        fill(self.mem.words_mut(dst));
+        let bytes = dst.len_bytes();
         self.xfer.h2d_bytes += bytes;
         self.xfer.h2d_wire_bytes += bytes;
         self.xfer.h2d_ops += 1;
@@ -164,41 +172,48 @@ impl Gpu {
         span
     }
 
+    /// H2D copy of `src` into `dst`, ready at `ready`: [`Gpu::h2d_fill_at`]
+    /// with a plain copy.
+    ///
+    /// # Panics
+    /// Panics if `src` does not fill `dst` exactly.
+    pub fn h2d_at(&mut self, dst: DevPtr, src: &[u32], ready: SimTime) -> Span {
+        self.h2d_fill_at(dst, ready, |w| w.copy_from_slice(src))
+    }
+
     /// H2D copy chained after everything scheduled so far.
     pub fn h2d(&mut self, dst: DevPtr, src: &[u32]) -> Span {
         let now = self.timeline.now();
         self.h2d_at(dst, src, now)
     }
 
-    /// Compressed H2D copy: ship `encoded` over the link, decode into
-    /// `decoded` on the compute engine. Returns `(copy, decompress)` spans;
-    /// the payload is usable at `decompress.end`.
+    /// Compressed H2D copy: ship `encoded` over the link, then decode on
+    /// the compute engine into all of `dst`. Returns `(copy, decompress)`
+    /// spans; the payload is usable at `decompress.end`.
     ///
     /// The encoded bytes really land in `dst`'s word window first (a true
-    /// byte copy of the wire payload), then the decoded words overwrite
-    /// them — modelling an in-place decompression kernel. Only the encoded
-    /// size is charged on the COPY engine; the decode cost is charged on
-    /// the COMPUTE engine starting when the copy completes.
+    /// byte copy of the wire payload, little-endian packed four to a
+    /// word), then `fill` writes the decoded words over them — modelling
+    /// an in-place decompression kernel. Only the encoded size is charged
+    /// on the COPY engine; the decode cost is charged on the COMPUTE
+    /// engine starting when the copy completes.
     pub fn h2d_compressed_at(
         &mut self,
         dst: DevPtr,
-        decoded: &[u32],
         encoded: &[u8],
         ready: SimTime,
+        fill: impl FnOnce(&mut [u32]),
     ) -> (Span, Span) {
         let wire = encoded.len() as u64;
-        let raw = (decoded.len() * 4) as u64;
+        let raw = dst.len_bytes();
         // Land the encoded stream in the destination window. `Always` mode
         // may inflate a payload past its raw size; the landing copy is then
         // clipped to the window (the link still pays for every wire byte).
-        debug_assert_eq!(decoded.len(), dst.len, "payload must fill the window");
-        let mut landing = vec![0u32; encoded.len().div_ceil(4).min(decoded.len())];
-        for (w, chunk) in landing.iter_mut().zip(encoded.chunks(4)) {
+        for (w, chunk) in self.mem.words_mut(dst).iter_mut().zip(encoded.chunks(4)) {
             let mut b = [0u8; 4];
             b[..chunk.len()].copy_from_slice(chunk);
             *w = u32::from_le_bytes(b);
         }
-        self.mem.write(dst.slice(0, landing.len()), &landing);
         let copy = self.timeline.schedule_labeled(
             Engine::Copy,
             ready,
@@ -211,7 +226,7 @@ impl Gpu {
             self.config.decompress.decompress_ns(raw),
             || format!("decompress {raw}B"),
         );
-        self.mem.write(dst, decoded);
+        fill(self.mem.words_mut(dst));
         self.xfer.h2d_bytes += raw;
         self.xfer.h2d_wire_bytes += wire;
         self.xfer.h2d_ops += 1;
@@ -364,6 +379,40 @@ mod tests {
     }
 
     #[test]
+    fn h2d_fill_writes_the_window_in_place_and_accounts_like_a_copy() {
+        let mut g = small_gpu();
+        let p = g.alloc(6).unwrap();
+        let fill = g.h2d_fill_at(p, SimTime::ZERO, |w| {
+            for (i, x) in w.iter_mut().enumerate() {
+                *x = i as u32 * 3;
+            }
+        });
+        assert_eq!(g.mem.words(p), &[0, 3, 6, 9, 12, 15]);
+        let mut h = small_gpu();
+        let q = h.alloc(6).unwrap();
+        let copy = h.h2d_at(q, &[0, 3, 6, 9, 12, 15], SimTime::ZERO);
+        assert_eq!(fill, copy);
+        assert_eq!(g.xfer, h.xfer);
+        assert_eq!(g.obs.registry.snapshot(), h.obs.registry.snapshot());
+    }
+
+    #[test]
+    fn compressed_h2d_lands_the_wire_bytes_before_the_decode() {
+        let mut g = small_gpu();
+        let p = g.alloc(4).unwrap();
+        let encoded = [1u8, 0, 0, 0, 2, 0, 0, 0, 3];
+        let mut landed = Vec::new();
+        g.h2d_compressed_at(p, &encoded, SimTime::ZERO, |w| {
+            landed.extend_from_slice(w);
+            w.fill(5);
+        });
+        // the window held the encoded stream, little-endian packed and
+        // zero-padded, when the decode ran; the decode output wins
+        assert_eq!(&landed[..3], &[1, 2, 3]);
+        assert_eq!(g.mem.words(p), &[5, 5, 5, 5]);
+    }
+
+    #[test]
     fn d2h_roundtrip() {
         let mut g = small_gpu();
         let p = g.alloc(3).unwrap();
@@ -444,7 +493,8 @@ mod tests {
         let p = g.alloc(8).unwrap();
         let decoded = [1u32, 2, 3, 4, 5, 6, 7, 8]; // 32 raw bytes
         let encoded = [9u8; 10]; // 10 wire bytes
-        let (copy, dec) = g.h2d_compressed_at(p, &decoded, &encoded, SimTime::ZERO);
+        let (copy, dec) =
+            g.h2d_compressed_at(p, &encoded, SimTime::ZERO, |w| w.copy_from_slice(&decoded));
         // payload accounting: logical bytes stay raw, wire bytes shrink
         assert_eq!(g.xfer.h2d_bytes, 32);
         assert_eq!(g.xfer.h2d_wire_bytes, 10);
@@ -464,7 +514,7 @@ mod tests {
         let p = g.alloc(8).unwrap();
         g.h2d(p, &[0; 8]); // raw: 32 payload == 32 wire
         let t = g.elapsed();
-        g.h2d_compressed_at(p, &[0; 8], &[0; 12], t);
+        g.h2d_compressed_at(p, &[0; 12], t, |w| w.fill(0));
         assert_eq!(g.xfer.h2d_bytes, 64);
         assert_eq!(g.xfer.h2d_wire_bytes, 44);
         assert_eq!(g.xfer.total_bytes(), 64);
@@ -481,7 +531,9 @@ mod tests {
         let mut g = small_gpu();
         g.obs.enable_events(64);
         let p = g.alloc(4).unwrap();
-        g.h2d_compressed_at(p, &[1, 2, 3, 4], &[7, 7, 7], SimTime::ZERO);
+        g.h2d_compressed_at(p, &[7, 7, 7], SimTime::ZERO, |w| {
+            w.copy_from_slice(&[1, 2, 3, 4])
+        });
         let events = g.obs.events().unwrap();
         assert!(events.iter().any(|e| e.event.kind() == "compressed_dma"));
     }

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use ascetic::algos::inmemory::run_in_memory;
 use ascetic::algos::{Bfs, Cc, PageRank};
 use ascetic::baselines::SubwaySystem;
-use ascetic::core::ondemand::{gather, plan_batches};
+use ascetic::core::ondemand::{plan_batches, GatherBatch};
 use ascetic::core::ratio::{satisfies_eq1, static_share};
 use ascetic::core::{AsceticConfig, AsceticSystem, OutOfCoreSystem};
 use ascetic::graph::partition::{partition_by_bytes, validate_partitions};
@@ -184,9 +184,16 @@ proptest! {
         // gather materializes exactly the bytes the entries describe
         for entries in batches {
             let total: u64 = entries.iter().map(|e| e.num_edges()).sum();
-            let batch = gather(&g, entries);
+            let batch = GatherBatch::new(&g, entries);
             prop_assert_eq!(batch.edges, total);
-            prop_assert_eq!(batch.words.len() as u64, total * g.words_per_edge() as u64);
+            prop_assert_eq!(batch.payload_words() as u64, total * g.words_per_edge() as u64);
+            let mut window = vec![0u32; batch.payload_words()];
+            batch.gather_into(&g, &mut window);
+            for (i, e) in batch.entries.iter().enumerate() {
+                let mut expect = Vec::new();
+                g.write_edge_words(e.edges.clone(), &mut expect);
+                prop_assert_eq!(&window[batch.entry_words(i)], &expect[..]);
+            }
         }
     }
 
